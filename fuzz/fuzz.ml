@@ -23,7 +23,8 @@
    Codec mode is the companion to test/test_kernels.ml: random postings
    lists with lengths biased to the Plist_blocks block boundaries are
    round-tripped through every payload codec and driven through the
-   streamed kernels against the Plist_ref oracle.
+   streamed kernels against the Plist_ref oracle; the ids-only decode
+   must match the full one on them and on damaged copies of them.
 
    Exits non-zero on the first divergence, printing a reproducer. *)
 
@@ -488,6 +489,19 @@ let random_plist rng =
   done;
   Array.of_list (List.rev !out)
 
+(* A random truncation or a 1-3 byte mutation of a payload. *)
+let damage rng payload =
+  let n = String.length payload in
+  if n = 0 then payload
+  else if Random.State.bool rng then String.sub payload 0 (Random.State.int rng n)
+  else begin
+    let b = Bytes.of_string payload in
+    for _ = 0 to Random.State.int rng 3 do
+      Bytes.set b (Random.State.int rng n) (Char.chr (Random.State.int rng 256))
+    done;
+    Bytes.to_string b
+  end
+
 let codec_scenario rng i =
   let fail fmt =
     Printf.ksprintf
@@ -495,6 +509,19 @@ let codec_scenario rng i =
         Printf.printf "\nCODEC FAILURE in scenario %d: %s\n" i m;
         exit 1)
       fmt
+  in
+  (* the ids-only decode vs the full one: equal ids, or Corrupt from both *)
+  let ids_agree what payload =
+    let outcome f =
+      match f () with
+      | ids -> Some ids
+      | exception Storage.Codec.Corrupt _ -> None
+      | exception e -> fail "%s: decode raised %s" what (Printexc.to_string e)
+    in
+    if
+      outcome (fun () -> L.nodes (L.of_bytes payload))
+      <> outcome (fun () -> L.nodes_of_bytes payload)
+    then fail "%s: ids-only decode diverged (%S)" what payload
   in
   let lists = List.init (1 + Random.State.int rng 4) (fun _ -> random_plist rng) in
   List.iter
@@ -508,7 +535,12 @@ let codec_scenario rng i =
             (* canonical: decode-then-encode reproduces the payload *)
             if not (String.equal (L.to_bytes ~codec back) payload) then
               fail "payload not canonical (%d postings)" (Array.length l)
-          | exception e -> fail "decode raised %s" (Printexc.to_string e)))
+          | exception e -> fail "decode raised %s" (Printexc.to_string e));
+          if L.nodes_of_bytes payload <> L.nodes l then
+            fail "ids-only decode diverged (%d postings)" (Array.length l);
+          for _ = 1 to 4 do
+            ids_agree "damaged payload" (damage rng payload)
+          done)
         [ L.Varint; L.Bitpacked; L.Blocked ])
     lists;
   (* streamed kernels over mixed 'C'/'V' payloads vs the oracle *)

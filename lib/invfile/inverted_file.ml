@@ -67,13 +67,15 @@ let open_store ?(lenient = false) store =
     lookup_stats = Storage.Io_stats.create ();
   }
 
-let lookup_from_store t a =
+let read_postings t a ~empty decode =
   match t.store.Storage.Kv.get (atom_key a) with
-  | None -> Plist.empty
+  | None -> empty
   | Some payload -> (
-    try Plist.of_bytes payload
+    try decode payload
     with Storage.Codec.Corrupt m ->
       raise (Malformed (Printf.sprintf "postings of %S: %s" a m)))
+
+let lookup_from_store t a = read_postings t a ~empty:Plist.empty Plist.of_bytes
 
 let lookup t a =
   Storage.Io_stats.record_lookup t.lookup_stats;
@@ -92,6 +94,18 @@ let lookup t a =
       (* Dynamic policies admit new lists; Static ignores this. *)
       Cache.insert c a l;
       l)
+
+(* The cache holds full lists, so a miss here admits nothing: an ids-only
+   read has no postings to offer it. *)
+let lookup_nodes t a =
+  Storage.Io_stats.record_lookup t.lookup_stats;
+  match Option.bind t.cache (fun c -> Cache.find c a) with
+  | Some l ->
+    Storage.Io_stats.record_hit t.lookup_stats;
+    Plist.nodes l
+  | None ->
+    Storage.Io_stats.record_miss t.lookup_stats;
+    read_postings t a ~empty:[||] Plist.nodes_of_bytes
 
 (* Block probe for a batch of queries: load every distinct atom's list in
    one sorted pass and pin the results in the attached cache, so the

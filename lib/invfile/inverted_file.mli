@@ -44,6 +44,13 @@ val lookup : t -> string -> Plist.t
 (** [lookup t a] is [S_IF(a)]; the empty list for unknown atoms. Consults
     the attached cache first; {!lookup_stats} records hits and misses. *)
 
+val lookup_nodes : t -> string -> int array
+(** [lookup_nodes t a = Plist.nodes (lookup t a)]: the node ids of
+    [S_IF(a)], ascending, decoded without materializing postings on a
+    cache miss ({!Plist.nodes_of_bytes}). Counts a lookup, hit or miss
+    and raises {!Malformed} exactly as {!lookup} does; a miss does not
+    admit the list into a dynamic cache. *)
+
 val prefetch : t -> string list -> int
 (** [prefetch t atoms] block-probes the inverted file: every distinct atom
     not already cached is read from the store in one sorted pass and

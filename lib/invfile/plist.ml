@@ -258,7 +258,7 @@ let idset_to_bytes (h : idset) =
 
 let idset_of_bytes s : idset =
   let r = Storage.Codec.reader s in
-  let n = Storage.Codec.read_varint r in
+  let n = Storage.Codec.read_count r in
   let a = Array.make (max n 1) (0, 0, -1) in
   let prev = ref (-1) in
   for i = 0 to n - 1 do
@@ -300,7 +300,7 @@ let encode w l =
     l
 
 let decode r =
-  let n = Storage.Codec.read_varint r in
+  let n = Storage.Codec.read_count r in
   if n = 0 then [||]
   else begin
     (* explicit loop: the decode order must be sequential *)
@@ -376,11 +376,11 @@ let of_bitpacked s =
     prev := node;
     let parent = if parent_gaps.(i) = 0 then -1 else node - parent_gaps.(i) in
     let k = child_counts.(i) in
+    if k > Array.length child_gaps - !gi then
+      raise (Storage.Codec.Corrupt "Plist.of_bitpacked: truncated children");
     let prev_child = ref node in
     let children = Array.make k 0 in
     for j = 0 to k - 1 do
-      if !gi >= Array.length child_gaps then
-        raise (Storage.Codec.Corrupt "Plist.of_bitpacked: truncated children");
       let c = !prev_child + 1 + child_gaps.(!gi) in
       incr gi;
       prev_child := c;
@@ -420,6 +420,11 @@ let of_bytes s =
     decode r
   | Bitpacked -> of_bitpacked (String.sub s 1 (String.length s - 1))
   | Blocked -> Plist_blocks.decode (Plist_blocks.directory s ~pos:1)
+
+let nodes_of_bytes s =
+  match codec_of_bytes s with
+  | Blocked -> Plist_blocks.nodes (Plist_blocks.directory s ~pos:1)
+  | Varint | Bitpacked -> nodes (of_bytes s)
 
 let restrict l ids =
   let nl = Array.length l and ni = Array.length ids in

@@ -151,6 +151,12 @@ val of_bytes : string -> t
 
 val codec_of_bytes : string -> codec
 
+val nodes_of_bytes : string -> int array
+(** [nodes_of_bytes s = nodes (of_bytes s)], raising on exactly the same
+    payloads, but a ['C'] payload is walked without materializing its
+    postings ({!Plist_blocks.nodes}): only the id array is allocated.
+    ['V'] and ['B'] payloads decode in full. *)
+
 val restrict : t -> int array -> t
 (** [restrict l ids] keeps the postings whose node is in [ids] (a sorted,
     strictly increasing array). *)

@@ -110,10 +110,16 @@ let encode (l : Posting.t array) =
 
 let corrupt msg = raise (Storage.Codec.Corrupt ("Plist_blocks: " ^ msg))
 
+(* A directory entry is five varints, at least one byte each; a block
+   body holds at least one byte per posting (a sparse posting is five
+   varints, a dense one four plus its bitmap share). Both bounds are
+   checked before anything is sized by a count read from the payload. *)
 let directory payload ~pos =
   let r = Storage.Codec.reader_sub payload ~pos ~len:(String.length payload - pos) in
   let total = Storage.Codec.read_varint r in
   let nblocks = Storage.Codec.read_varint r in
+  if nblocks < 0 || nblocks > Storage.Codec.remaining r / 5 then
+    corrupt "block count exceeds payload";
   let mins = Array.make nblocks 0 in
   let maxs = Array.make nblocks 0 in
   let counts = Array.make nblocks 0 in
@@ -127,8 +133,10 @@ let directory payload ~pos =
     let count = Storage.Codec.read_varint r in
     let repr = Storage.Codec.read_varint r in
     let len = Storage.Codec.read_varint r in
-    if count = 0 then corrupt "empty block";
+    if count <= 0 then corrupt "empty block";
     if count > bmax - bmin + 1 then corrupt "block count exceeds id span";
+    if count > len || len > String.length payload then
+      corrupt "block count exceeds body length";
     (match repr with
     | 0 -> bitmap.(i) <- false
     | 1 -> bitmap.(i) <- true
@@ -153,11 +161,18 @@ let directory payload ~pos =
   if suffix.(0) <> total then corrupt "block counts disagree with total";
   { payload; total; mins; maxs; counts; bitmap; offs; lens; suffix }
 
-(* --- block decoding --- *)
+(* --- block walking ---
 
-let decode_block d i =
+   The one parser of block bodies: [walk_block d i f] calls [f k node r]
+   for the block's postings in ascending id order, with the posting's
+   index within the block, its node id, and a reader positioned at its
+   non-id fields (Posting.encode_aux), which [f] must consume. Every
+   span, popcount and truncation check of a block lives here, so the
+   full decode and the ids-only decode reject exactly the same bytes. *)
+let walk_block d i f =
   let count = d.counts.(i) in
   let bmin = d.mins.(i) and bmax = d.maxs.(i) in
+  let first = ref bmin and last = ref bmax in
   if d.bitmap.(i) then begin
     let range = bmax - bmin + 1 in
     let nbytes = (range + 7) / 8 in
@@ -167,7 +182,6 @@ let decode_block d i =
         ~pos:(d.offs.(i) + nbytes)
         ~len:(d.lens.(i) - nbytes)
     in
-    let out = Array.make count Posting.{ node = 0; children = [||]; leaf_count = 0; post = 0; parent = -1 } in
     let k = ref 0 in
     for b = 0 to nbytes - 1 do
       let byte = Char.code d.payload.[d.offs.(i) + b] in
@@ -177,33 +191,57 @@ let decode_block d i =
             let node = bmin + (b * 8) + bit in
             if node > bmax then corrupt "bitmap bit outside block span";
             if !k >= count then corrupt "bitmap popcount exceeds block count";
-            out.(!k) <- Posting.decode_aux aux ~node;
+            if !k = 0 then first := node;
+            last := node;
+            f !k node aux;
             incr k
           end
         done
     done;
-    if !k <> count then corrupt "bitmap popcount disagrees with block count";
-    if out.(0).Posting.node <> bmin || out.(count - 1).Posting.node <> bmax then
-      corrupt "block span disagrees with contents";
-    out
+    if !k <> count then corrupt "bitmap popcount disagrees with block count"
   end
   else begin
     let r = Storage.Codec.reader_sub d.payload ~pos:d.offs.(i) ~len:d.lens.(i) in
     let prev = ref (bmin - 1) in
-    let out =
-      Array.init count (fun _ ->
-          let p = Posting.decode r ~prev_node:!prev in
-          prev := p.Posting.node;
-          p)
-    in
-    if out.(0).Posting.node <> bmin || out.(count - 1).Posting.node <> bmax then
-      corrupt "block span disagrees with contents";
-    out
-  end
+    for k = 0 to count - 1 do
+      let node = !prev + 1 + Storage.Codec.read_varint r in
+      if k = 0 then first := node;
+      f k node r;
+      prev := node
+    done;
+    last := !prev
+  end;
+  if !first <> bmin || !last <> bmax then
+    corrupt "block span disagrees with contents"
 
+let no_posting =
+  Posting.{ node = 0; children = [||]; leaf_count = 0; post = 0; parent = -1 }
+
+let decode_block d i =
+  let out = Array.make d.counts.(i) no_posting in
+  walk_block d i (fun k node r -> out.(k) <- Posting.decode_aux r ~node);
+  out
+
+(* Block [i]'s first posting sits at index [total - suffix.(i)] of the
+   whole list, so [decode] and [nodes] each fill one [total]-sized array
+   in place. *)
 let decode d =
-  if d.total = 0 then [||]
-  else Array.concat (List.init (n_blocks d) (fun i -> decode_block d i))
+  let out = Array.make d.total no_posting in
+  for i = 0 to n_blocks d - 1 do
+    let base = d.total - d.suffix.(i) in
+    walk_block d i (fun k node r -> out.(base + k) <- Posting.decode_aux r ~node)
+  done;
+  out
+
+let nodes d =
+  let out = Array.make d.total 0 in
+  for i = 0 to n_blocks d - 1 do
+    let base = d.total - d.suffix.(i) in
+    walk_block d i (fun k node r ->
+        out.(base + k) <- node;
+        Posting.skip_aux r)
+  done;
+  out
 
 (* First block index in [start, n_blocks) whose max >= id (binary search
    over the directory — the block-skip primitive), or n_blocks. *)

@@ -30,7 +30,9 @@ type t
 
 val directory : string -> pos:int -> t
 (** Parse the directory of the blocked body starting at byte [pos] of the
-    payload. @raise Storage.Codec.Corrupt on malformed input. *)
+    payload. Block and posting counts are checked against the payload's
+    length before anything is allocated for them.
+    @raise Storage.Codec.Corrupt on malformed input. *)
 
 val total : t -> int
 (** Total postings in the list. *)
@@ -49,6 +51,13 @@ val decode_block : t -> int -> Posting.t array
 
 val decode : t -> Posting.t array
 (** Decode the full list (all blocks, concatenated). *)
+
+val nodes : t -> int array
+(** The node ids of the full list, ascending, without materializing a
+    posting: the ids-only decode behind {!Plist.nodes_of_bytes}. Walks
+    blocks with the same parser as {!decode_block}, so it raises
+    {!Storage.Codec.Corrupt} on exactly the payloads {!decode} does and
+    otherwise equals [Array.map (fun p -> p.node) (decode d)]. *)
 
 val find_block : t -> start:int -> int -> int
 (** [find_block d ~start id] is the first block index [>= start] whose

@@ -39,6 +39,12 @@ let decode_aux r ~node =
   let children = Storage.Codec.read_int_array r in
   { node; children; leaf_count; post; parent }
 
+let skip_aux r =
+  ignore (Storage.Codec.read_varint r);
+  ignore (Storage.Codec.read_varint r);
+  ignore (Storage.Codec.read_varint r);
+  Storage.Codec.skip_int_array r
+
 let decode r ~prev_node =
   let node = prev_node + 1 + Storage.Codec.read_varint r in
   decode_aux r ~node

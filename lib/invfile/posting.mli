@@ -37,4 +37,9 @@ val encode_aux : Storage.Codec.writer -> t -> unit
 
 val decode_aux : Storage.Codec.reader -> node:int -> t
 
+val skip_aux : Storage.Codec.reader -> unit
+(** Consumes the bytes {!decode_aux} would read, allocating nothing and
+    raising {!Storage.Codec.Corrupt} exactly where it would — the step of
+    an ids-only decode. *)
+
 val pp : Format.formatter -> t -> unit

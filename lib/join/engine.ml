@@ -1,6 +1,5 @@
 module IF = Invfile.Inverted_file
 module Plist = Invfile.Plist
-module Posting = Invfile.Posting
 module E = Containment.Engine
 module Sem = Containment.Semantics
 module Embed = Containment.Embed
@@ -137,7 +136,9 @@ let io_attrs trace before inv =
    array of record roots and memoized — every tree node touching the atom
    reuses the lift. Plain int arrays, not postings: candidate sets are
    intersected far more often than they are built, and an int compare per
-   step beats chasing posting records. *)
+   step beats chasing posting records. Candidate generation needs only
+   node ids, so lists are read with the ids-only decode
+   ([IF.lookup_nodes]). *)
 
 (* Confined to one [join] call on one domain (Router gives each shard its
    own call), so unsynchronized on purpose: the build phase keys every
@@ -149,57 +150,53 @@ type memo = {
       (* atom -> ascending node ids carrying it as a direct leaf *)
   root_table : (string, int array) Hashtbl.t;
       (* atom -> ascending record-root ids whose subtree carries it *)
-  present : (string, bool) Hashtbl.t;  (* memoized key-existence probes *)
   roots : int array;  (* ascending record-root node ids *)
+  record_of_node : int array Lazy.t;
+      (* node id -> record index; built on first use, once per join *)
 }
+
+(* Records own contiguous id ranges — record [i] the ids from [roots.(i)]
+   up to the next root, the last one up to [node_count] — so the map is
+   one fill per record. *)
+let record_index inv =
+  let roots = IF.roots inv and n = IF.node_count inv in
+  let map = Array.make n (-1) in
+  let k = Array.length roots in
+  Array.iteri
+    (fun i r ->
+      let next = if i + 1 < k then roots.(i + 1) else n in
+      if r < 0 || next < r || next > n then
+        raise (IF.Malformed "record roots disagree with the node count");
+      Array.fill map r (next - r) i)
+    roots;
+  map
 
 let make_memo inv =
   {
     node_table = Hashtbl.create 256;
     root_table = Hashtbl.create 256;
-    present = Hashtbl.create 256;
     roots = IF.roots inv;
+    record_of_node = lazy (record_index inv);
   }
 
-let atom_present inv memo atom =
-  match Hashtbl.find_opt memo.present atom with
-  | Some b -> b
-  | None ->
-    let b = IF.mem_atom inv atom in
-    Hashtbl.add memo.present atom b;
-    b
+let record_of memo id =
+  let map = Lazy.force memo.record_of_node in
+  if id < 0 || id >= Array.length map || map.(id) < 0 then
+    raise (IF.Malformed (Printf.sprintf "posting for node %d outside every record" id));
+  map.(id)
 
 let node_list inv memo atom =
   match Hashtbl.find_opt memo.node_table atom with
   | Some l -> l
   | None ->
-    let pl = IF.lookup inv atom in
-    let l = Array.map (fun (p : Posting.t) -> p.Posting.node) pl in
+    let l = IF.lookup_nodes inv atom in
     Hashtbl.add memo.node_table atom l;
     l
 
-(* Greatest index with [roots.(i) <= id], given the invariant
-   [roots.(lo) <= id]: gallop forward from [lo], then bisect. Postings
-   ascend by node id, so successive calls pass a non-decreasing cursor
-   and the whole lift is near-linear. *)
-let root_index_from roots lo id =
-  let n = Array.length roots in
-  if lo + 1 >= n || roots.(lo + 1) > id then lo
-  else begin
-    let lo = ref (lo + 1) and step = ref 1 in
-    let hi = ref (!lo + 1) in
-    while !hi < n && roots.(!hi) <= id do
-      lo := !hi;
-      hi := !hi + !step;
-      step := !step * 2
-    done;
-    let hi = ref (min !hi n) in
-    while !hi - !lo > 1 do
-      let mid = (!lo + !hi) / 2 in
-      if roots.(mid) <= id then lo := mid else hi := mid
-    done;
-    !lo
-  end
+(* An atom with no postings occurs in no record — absent from the store,
+   or every record carrying it deleted. The fetch that answers this is
+   the one candidate generation reuses, so presence costs no extra read. *)
+let atom_present inv memo atom = Array.length (node_list inv memo atom) > 0
 
 let root_list inv memo atom =
   match Hashtbl.find_opt memo.root_table atom with
@@ -209,26 +206,20 @@ let root_list inv memo atom =
        even when flat and nested queries share it *)
     let nl = node_list inv memo atom in
     let m = Array.length nl in
-    let l =
-      if m = 0 then [||]
-      else begin
-        (* node ids ascend and records own contiguous id ranges, so the
-           mapped roots ascend too — dedupe in one pass *)
-        let buf = Array.make m 0 in
-        let k = ref 0 and cursor = ref 0 and last = ref (-1) in
-        Array.iter
-          (fun id ->
-            cursor := root_index_from memo.roots !cursor id;
-            let r = memo.roots.(!cursor) in
-            if r <> !last then begin
-              buf.(!k) <- r;
-              incr k;
-              last := r
-            end)
-          nl;
-        Array.sub buf 0 !k
-      end
-    in
+    (* node ids ascend and records own contiguous id ranges, so the
+       mapped roots ascend too — dedupe in one pass *)
+    let buf = Array.make m 0 in
+    let k = ref 0 and last = ref (-1) in
+    Array.iter
+      (fun id ->
+        let rid = record_of memo id in
+        if rid <> !last then begin
+          buf.(!k) <- memo.roots.(rid);
+          incr k;
+          last := rid
+        end)
+      nl;
+    let l = Array.sub buf 0 !k in
     Hashtbl.add memo.root_table atom l;
     l
 
@@ -350,8 +341,9 @@ let join ?(config = default) ?trace inv values =
      atoms rarest-first (global order: ascending list length, ties by
      atom), thread into its tree. A query naming an atom the collection
      has nowhere at all cannot match any record under containment — key
-     existence is far cheaper than decoding even one posting list, so
-     such queries end here (cf. Engine's preflight). *)
+     existence comes with the ids-only fetch candidate generation needs
+     anyway, so such queries end here at no extra read (cf. Engine's
+     preflight). *)
   tspan trace "build-tree" (fun () ->
       let io0 = io_snap inv in
       let use_fast = config_fast_path ec in
@@ -486,7 +478,7 @@ let join ?(config = default) ?trace inv values =
         let n_atoms = Array.length atoms in
         if consumed >= n_atoms then
           Array.iter
-            (fun nd -> emit_pair qi (IF.record_of_root inv nd))
+            (fun nd -> emit_pair qi (record_of memo nd))
             cand
         else begin
           (* fetch each remaining atom's list once, not once per candidate *)
@@ -503,7 +495,7 @@ let join ?(config = default) ?trace inv values =
                 if not (mem_sorted rest.(!i) nd) then ok := false;
                 incr i
               done;
-              if !ok then emit_pair qi (IF.record_of_root inv nd))
+              if !ok then emit_pair qi (record_of memo nd))
             cand
         end
       in
@@ -530,7 +522,7 @@ let join ?(config = default) ?trace inv values =
             Array.iter
               (fun root ->
                 incr checked;
-                let rid = IF.record_of_root inv root in
+                let rid = record_of memo root in
                 if Embed.run checker ~s:(tree_of rid) root then
                   emit_pair qi rid)
               cand

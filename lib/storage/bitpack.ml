@@ -56,6 +56,10 @@ exception Corrupt = Codec.Corrupt
 let unpack s =
   let r = Codec.reader s in
   let n = Codec.read_varint r in
+  (* every block of up to [block_size] values takes at least its width
+     byte: a larger count is corrupt, and is refused before allocating *)
+  if n < 0 || n > block_size * Codec.remaining r then
+    raise (Corrupt "Bitpack.unpack: count exceeds payload");
   let a = Array.make (max n 1) 0 in
   let pos = ref 0 in
   (* switch to manual byte access after the varint header *)

@@ -3,16 +3,19 @@ type writer = Buffer.t
 let writer () = Buffer.create 64
 let contents = Buffer.contents
 
+(* The varint loops are top-level recursions, not local closures: without
+   flambda a local [loop] capturing [buf] or [r] is allocated on every
+   call, and varints are the innermost step of every postings read. *)
+let rec write_varint_bytes buf n =
+  if n < 0x80 then Buffer.add_char buf (Char.chr n)
+  else begin
+    Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
+    write_varint_bytes buf (n lsr 7)
+  end
+
 let write_varint buf n =
   if n < 0 then invalid_arg "Codec.write_varint: negative";
-  let rec loop n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      loop (n lsr 7)
-    end
-  in
-  loop n
+  write_varint_bytes buf n
 
 let write_int_list buf l =
   write_varint buf (List.length l);
@@ -53,6 +56,7 @@ let reader_sub s ~pos ~len =
 
 let at_end r = r.pos >= r.limit
 let pos r = r.pos
+let remaining r = r.limit - r.pos
 
 let read_byte r =
   if r.pos >= r.limit then raise (Corrupt "truncated varint");
@@ -60,17 +64,24 @@ let read_byte r =
   r.pos <- r.pos + 1;
   b
 
-let read_varint r =
-  let rec loop shift acc =
-    if shift > 62 then raise (Corrupt "varint too large");
-    let b = read_byte r in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else loop (shift + 7) acc
-  in
-  loop 0 0
+let rec read_varint_bytes r shift acc =
+  if shift > 62 then raise (Corrupt "varint too large");
+  let b = read_byte r in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else read_varint_bytes r (shift + 7) acc
+
+let read_varint r = read_varint_bytes r 0 0
+
+(* Every element of a length-prefixed sequence takes at least one byte,
+   so a count beyond the bytes left is corrupt — checked before anything
+   is allocated for it. *)
+let read_count r =
+  let n = read_varint r in
+  if n < 0 || n > remaining r then raise (Corrupt "count exceeds remaining bytes");
+  n
 
 let read_int_list r =
-  let n = read_varint r in
+  let n = read_count r in
   let rec loop i prev acc =
     if i = n then List.rev acc
     else
@@ -80,7 +91,7 @@ let read_int_list r =
   loop 0 (-1) []
 
 let read_int_array r =
-  let n = read_varint r in
+  let n = read_count r in
   if n = 0 then [||]
   else begin
     let a = Array.make n 0 in
@@ -93,9 +104,14 @@ let read_int_array r =
     a
   end
 
+let skip_int_array r =
+  for _ = 1 to read_count r do
+    ignore (read_varint r)
+  done
+
 let read_string r =
   let n = read_varint r in
-  if r.pos + n > r.limit then raise (Corrupt "truncated string");
+  if n < 0 || n > remaining r then raise (Corrupt "truncated string");
   let s = String.sub r.data r.pos n in
   r.pos <- r.pos + n;
   s

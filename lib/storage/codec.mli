@@ -37,9 +37,28 @@ val at_end : reader -> bool
 (** Current byte offset within the underlying string (absolute, i.e.
     relative to the string passed to {!reader} / {!reader_sub}). *)
 val pos : reader -> int
+
+val remaining : reader -> int
+(** Bytes left before the reader's limit. *)
+
 val read_varint : reader -> int
+
+val read_count : reader -> int
+(** A varint element count, checked against the bytes left (every
+    element takes at least one): use it before allocating for a count
+    read from untrusted bytes. @raise Corrupt if it exceeds them. *)
+
 val read_int_list : reader -> int list
+(** Inverse of {!write_int_list}. @raise Corrupt on truncated input or a
+    count larger than the bytes left. *)
+
 val read_int_array : reader -> int array
+(** Inverse of {!write_int_array}; bounded as {!read_int_list}. *)
+
+val skip_int_array : reader -> unit
+(** Consumes what {!read_int_array} would, without allocating, raising
+    exactly where it would. *)
+
 val read_string : reader -> string
 
 (** {1 Convenience} *)

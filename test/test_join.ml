@@ -228,6 +228,97 @@ let test_stats_sharing () =
     (List.concat_map (fun j -> List.init 6 (fun i -> (j, i))) [ 0; 1; 2; 3; 4; 5 ])
     r.J.pairs
 
+(* --- the ids-only read path under the join ---
+
+   Candidate generation reads node ids through IF.lookup_nodes, lifts
+   them to records through a node -> record map built per join, and takes
+   atom presence from that same read. Each case pins one branch of it. *)
+
+(* A static cache on an on-disk store: the hottest lists come from the
+   cache (the hit branch), the rest from the ids-only payload decode. *)
+let test_cached_hash_store () =
+  let w =
+    Datagen.Paired.make ~seed:5 ~label_dist:(Datagen.Synthetic.Zipfian 0.7)
+      ~selectivity:0.4 ~inner:120 ~outer:60 ()
+  in
+  let outers = Datagen.Workload.values w.Datagen.Paired.outer in
+  let want =
+    let inv = Containment.Collection.of_values w.Datagen.Paired.inner in
+    Fun.protect ~finally:(fun () -> IF.close inv) (fun () -> J.naive inv outers)
+  in
+  Testutil.with_temp_path ".hash" @@ fun path ->
+  let inv =
+    Containment.Collection.of_values ~backend:(Containment.Collection.Hash path)
+      w.Datagen.Paired.inner
+  in
+  Fun.protect ~finally:(fun () -> IF.close inv) @@ fun () ->
+  Containment.Collection.with_static_cache inv ~budget:8;
+  let stats = IF.lookup_stats inv in
+  let hits0 = Storage.Io_stats.hits stats
+  and misses0 = Storage.Io_stats.misses stats in
+  let r = J.join inv outers in
+  Alcotest.(check bool) "some lists served by the cache" true
+    (Storage.Io_stats.hits stats > hits0);
+  Alcotest.(check bool) "some lists decoded ids-only" true
+    (Storage.Io_stats.misses stats > misses0);
+  check_pairs "cached hash store = naive" want r.J.pairs
+
+(* Appends grow the roots and the node count the node -> record map is
+   built from; deletes leave atoms whose every posting is gone. *)
+let test_after_updates () =
+  with_collection licences @@ fun inv ->
+  let outers =
+    List.map Testutil.v
+      [
+        "{UK, {A, motorbike}}"; "{car}"; "{late}"; "{solo}"; "{London, late}";
+        "{UK, {B, car}}"; "{{deep, car}}"; "{late, {deep}}";
+      ]
+  in
+  (* a join on the handle before it changes: nothing it builds may
+     outlive the call *)
+  check_pairs "join = naive before updates" (J.naive inv outers)
+    (J.join inv outers).J.pairs;
+  let add s = ignore (Invfile.Updater.add_string inv s) in
+  add "{solo, {UK, {A, motorbike}}}";
+  add "{UK, {B, car}, {late, {deep, car}}}";
+  add "{London, late}";
+  List.iter
+    (fun rid ->
+      Alcotest.(check bool)
+        (Printf.sprintf "deleted %d" rid)
+        true
+        (Invfile.Updater.delete_record inv rid))
+    [ 1; IF.record_count inv - 3 ];
+  let r = J.join inv outers in
+  check_pairs "join = naive after updates" (J.naive inv outers) r.J.pairs;
+  Alcotest.(check bool) "appended records answer" true
+    (List.mem (2, IF.record_count inv - 1) r.J.pairs);
+  Alcotest.(check bool) "the deleted record's only atom matches nothing" true
+    (not (List.exists (fun (qi, _) -> qi = 3) r.J.pairs))
+
+(* Outer sets naming atoms the collection lacks end in the preflight —
+   exactly those, whether the absent atom sorts first or last. *)
+let test_preflight_mixed () =
+  with_collection licences @@ fun inv ->
+  let outers =
+    List.map Testutil.v
+      [
+        "{UK, nothere}"; "{car}"; "{nothere}"; "{UK, {A, nowhere}}";
+        "{zzz, London}"; "{London, UK}"; "{{A, motorbike}}"; "{aaa, {car}}";
+      ]
+  in
+  let absent q =
+    List.exists (fun a -> not (IF.mem_atom inv a)) (V.atom_universe q)
+  in
+  let r = J.join inv outers in
+  check_pairs "mixed presence = naive" (J.naive inv outers) r.J.pairs;
+  Alcotest.(check int) "preflight rejects exactly the absent-atom sets"
+    (List.length (List.filter absent outers))
+    r.J.stats.J.preflight_rejected;
+  Alcotest.(check int) "and there are five" 5 r.J.stats.J.preflight_rejected;
+  Alcotest.(check int) "everything took the fast path" (List.length outers)
+    r.J.stats.J.fast_path
+
 (* --- sharded joins --- *)
 
 let collection =
@@ -414,6 +505,15 @@ let () =
           Alcotest.test_case "deep chains and skewed sizes" `Quick
             test_deep_and_skewed;
           Alcotest.test_case "stats reflect sharing" `Quick test_stats_sharing;
+        ] );
+      ( "read path",
+        [
+          Alcotest.test_case "static cache on a hash store" `Quick
+            test_cached_hash_store;
+          Alcotest.test_case "after appends and deletes" `Quick
+            test_after_updates;
+          Alcotest.test_case "absent and present atoms" `Quick
+            test_preflight_mixed;
         ] );
       ( "paired datagen",
         [ Alcotest.test_case "polarity guarantees" `Quick test_paired_generator ] );

@@ -264,6 +264,115 @@ let test_blocked_truncation_detected () =
     | _ -> Alcotest.failf "truncation at %d decoded silently" len
   done
 
+(* --- the ids-only decode ---
+
+   Plist.nodes_of_bytes walks 'C' blocks without building postings; it
+   must agree with the full decode on every payload, well-formed or not:
+   equal ids, or Corrupt from both sides. Any other exception escapes
+   and fails the test. *)
+
+let ids_outcome f =
+  match f () with
+  | ids -> Some ids
+  | exception Storage.Codec.Corrupt _ -> None
+
+let ids_agree ctx payload =
+  let full = ids_outcome (fun () -> L.nodes (L.of_bytes payload)) in
+  let fast = ids_outcome (fun () -> L.nodes_of_bytes payload) in
+  if full <> fast then
+    Alcotest.failf "%s: ids-only decode diverges (%s vs %s)" ctx
+      (if full = None then "corrupt" else "ids")
+      (if fast = None then "corrupt" else "ids")
+
+let test_nodes_of_bytes () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (shape, stride) ->
+          let l = Array.init n (fun i -> posting_of_id (i * stride)) in
+          List.iter
+            (fun (cname, codec) ->
+              let payload = L.to_bytes ~codec l in
+              let ctx = Printf.sprintf "%s %s n=%d" cname shape n in
+              if L.nodes_of_bytes payload <> L.nodes l then
+                Alcotest.failf "%s: ids differ" ctx;
+              ids_agree ctx payload)
+            [ ("V", L.Varint); ("B", L.Bitpacked); ("C", L.Blocked) ])
+        [ ("dense", 1); ("sparse", 1009) ])
+    [ 0; 1; 127; 128; 129; 255; 256; 257; 1000 ]
+
+(* Every truncation and every single-byte mutation (three xor masks per
+   position) of a two-block payload mixing a bitmap and a varint block. *)
+let test_nodes_of_bytes_damaged () =
+  let l =
+    Array.init 200 (fun i -> posting_of_id (if i < 128 then i else i * 1009))
+  in
+  List.iter
+    (fun codec ->
+      let payload = L.to_bytes ~codec l in
+      for len = 0 to String.length payload - 1 do
+        ids_agree (Printf.sprintf "truncated at %d" len) (String.sub payload 0 len)
+      done;
+      String.iteri
+        (fun pos c ->
+          List.iter
+            (fun mask ->
+              let b = Bytes.of_string payload in
+              Bytes.set b pos (Char.chr (Char.code c lxor mask));
+              ids_agree
+                (Printf.sprintf "byte %d xor %d" pos mask)
+                (Bytes.to_string b))
+            [ 0x01; 0x80; 0xff ])
+        payload)
+    [ L.Varint; L.Bitpacked; L.Blocked ]
+
+(* --- hostile counts ---
+
+   A count read from a payload must be checked against the bytes left
+   before it sizes an allocation: each case below is a few bytes claiming
+   up to 2^40 elements, and must fail with Corrupt having allocated next
+   to nothing. *)
+
+let varints ns =
+  let w = Storage.Codec.writer () in
+  List.iter (Storage.Codec.write_varint w) ns;
+  Storage.Codec.contents w
+
+let rejected_cheaply name f =
+  let before = Gc.allocated_bytes () in
+  (match f () with
+  | _ -> Alcotest.failf "%s: hostile count decoded" name
+  | exception Storage.Codec.Corrupt _ -> ()
+  | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e));
+  let spent = Gc.allocated_bytes () -. before in
+  if spent > 1e6 then Alcotest.failf "%s: allocated %.0f bytes" name spent
+
+let test_hostile_counts () =
+  let huge = 1 lsl 40 in
+  let blocked nblocks = "C" ^ varints [ 0; nblocks ] ^ String.make 4 '\000' in
+  let cases =
+    [
+      ("'C' with 2^40 blocks", blocked huge);
+      ("'C' with 50M blocks", blocked 50_000_000);
+      ( "'C' block of 2^40 postings",
+        "C" ^ varints [ huge; 1; 0; huge; huge; 0; 8 ] ^ String.make 8 '\000' );
+      ("'V' with 2^40 postings", "V" ^ varints [ huge; 0; 0; 0; 0; 0 ]);
+      ("'V' posting with 2^40 children", "V" ^ varints [ 1; 0; 0; 0; 0; huge ]);
+      ( "'B' column of 2^40 values",
+        "B" ^ varints [ 6 ] ^ varints [ huge ] ^ String.make 8 '\000' );
+    ]
+  in
+  List.iter
+    (fun (name, payload) ->
+      rejected_cheaply name (fun () -> L.of_bytes payload);
+      rejected_cheaply (name ^ ", ids only") (fun () -> L.nodes_of_bytes payload))
+    cases;
+  let r () = Storage.Codec.reader (varints [ huge; 1; 2 ]) in
+  rejected_cheaply "read_int_array" (fun () -> Storage.Codec.read_int_array (r ()));
+  rejected_cheaply "read_int_list" (fun () -> Storage.Codec.read_int_list (r ()));
+  rejected_cheaply "skip_int_array" (fun () -> Storage.Codec.skip_int_array (r ()));
+  rejected_cheaply "idset_of_bytes" (fun () -> L.idset_of_bytes (varints [ huge; 1 ]))
+
 (* --- skew: the headline kernel path, 2 vs 100_000 postings --- *)
 
 let test_skewed_intersection () =
@@ -355,6 +464,12 @@ let () =
             test_blocked_truncation_detected;
           Alcotest.test_case "skewed intersection" `Quick
             test_skewed_intersection;
+          Alcotest.test_case "ids-only decode = full decode" `Quick
+            test_nodes_of_bytes;
+          Alcotest.test_case "ids-only decode on damaged payloads" `Quick
+            test_nodes_of_bytes_damaged;
+          Alcotest.test_case "hostile counts rejected" `Quick
+            test_hostile_counts;
         ] );
       ( "contract",
         [
