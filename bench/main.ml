@@ -82,8 +82,6 @@ let bechamel_suite () =
        Test.make ~name:"e8/cached-250" (workload sw q_sw));
       Test.make ~name:"e12/streamed"
         (workload ~config:{ E.default with E.streamed = true } uw q_uw);
-      Test.make ~name:"e17/preflight"
-        (workload ~config:{ E.default with E.preflight = true } sw q_sw);
     ]
   in
   (* core-operation micro benches *)

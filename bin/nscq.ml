@@ -562,7 +562,6 @@ let query_cmd =
         td_order = Containment.Top_down.Query_order;
         streamed;
         spill_to = spill;
-        preflight = false;
         wildcards;
         minimize = false;
       }

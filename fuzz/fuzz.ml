@@ -358,14 +358,32 @@ let live_scenario rng i =
   in
   Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm dir)
   @@ fun () ->
+  (* one scenario in four first fills the memtable past the 128-posting
+     block size, in the node table and in atom "a"'s list, so inserts
+     append across block boundaries; it never auto-flushes *)
+  let bulk = Random.State.int rng 4 = 0 in
   let config =
     { LS.default with
-      LS.flush_records = Random.State.int rng 6;
+      LS.flush_records = (if bulk then 0 else Random.State.int rng 6);
       max_segments = 0;
       auto_compact = false }
   in
   let store = ref (LS.create ~config dir) in
   let model : (int, V.t) Hashtbl.t = Hashtbl.create 16 in
+  if bulk then begin
+    let rec count_nodes pred v =
+      (if pred v then 1 else 0)
+      + List.fold_left (fun n c -> n + count_nodes pred c) 0 (V.subsets v)
+    in
+    let nodes = ref 0 and with_a = ref 0 in
+    let target = 129 + Random.State.int rng 300 in
+    while !nodes < target || !with_a < target do
+      let v = random_set rng 0 in
+      Hashtbl.replace model (LS.insert !store v) v;
+      nodes := !nodes + count_nodes (fun _ -> true) v;
+      with_a := !with_a + count_nodes (fun n -> List.mem "a" (V.leaves n)) v
+    done
+  end;
   let fail fmt =
     Printf.ksprintf
       (fun msg ->
@@ -523,11 +541,49 @@ let codec_scenario rng i =
       <> outcome (fun () -> L.nodes_of_bytes payload)
     then fail "%s: ids-only decode diverged (%S)" what payload
   in
+  (* block append vs the full encode: byte-identical on a split of every
+     list; on a damaged 'C' payload it raises Corrupt, refuses a tail the
+     damaged directory ends above, or keeps the damage — decoding to the
+     damaged payload's ids and then the tail's, or failing as it does *)
+  let append_agrees codec l =
+    let k = Random.State.int rng (Array.length l + 1) in
+    let base = Array.sub l 0 k and tail = Array.sub l k (Array.length l - k) in
+    let payload = L.to_bytes ~codec base in
+    (match L.append_encoded payload tail with
+    | out ->
+      if not (String.equal out (L.to_bytes ~codec l)) then
+        fail "append of %d to %d postings differs from the full encode"
+          (Array.length tail) k
+    | exception e -> fail "append raised %s" (Printexc.to_string e));
+    let ids payload =
+      match L.nodes (L.of_bytes payload) with
+      | ids -> Some ids
+      | exception Storage.Codec.Corrupt _ -> None
+    in
+    if codec = L.Blocked then
+      for _ = 1 to 4 do
+        let damaged = damage rng payload in
+        if String.length damaged > 0 && damaged.[0] = 'C' then
+          match L.append_encoded damaged tail with
+          | exception Storage.Codec.Corrupt _ -> ()
+          | exception Invalid_argument _ ->
+            let d = Invfile.Plist_blocks.directory damaged ~pos:1 in
+            let n = Invfile.Plist_blocks.n_blocks d in
+            if n = 0 || Invfile.Plist_blocks.block_max d (n - 1) < tail.(0).P.node then
+              fail "append to a damaged payload refused a tail that follows"
+          | out ->
+            if ids out <> Option.map (fun d -> Array.append d (L.nodes tail)) (ids damaged)
+            then fail "append to a damaged payload changed what it decodes to (%S)" damaged
+          | exception e ->
+            fail "append to a damaged payload raised %s" (Printexc.to_string e)
+      done
+  in
   let lists = List.init (1 + Random.State.int rng 4) (fun _ -> random_plist rng) in
   List.iter
     (fun l ->
       List.iter
         (fun codec ->
+          append_agrees codec l;
           let payload = L.to_bytes ~codec l in
           (match L.of_bytes payload with
           | back ->

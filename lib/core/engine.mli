@@ -42,11 +42,6 @@ type config = {
   spill_to : string option;
       (** run the bottom-up stack through {!Storage.Ext_stack} backed by
           this file — the paper's STXXL option (Sec. 5.1, assumption (2)) *)
-  preflight : bool;
-      (** short-circuit containment/equality queries containing an atom
-          absent from the collection, with key-existence probes instead of
-          list retrievals (off by default to keep the paper's measured
-          access pattern) *)
   wildcards : bool;
       (** interpret trailing-['*'] query leaves as atom-prefix patterns
           (containment join only; candidate lists become unions over the
@@ -73,23 +68,28 @@ val query :
   Nested.Value.t -> result
 (** Evaluates [q ⋈ S] for one query value.
 
-    When [trace] is given, each evaluation phase records a span into it:
-    [minimize] (when applied), [preflight] (when enabled, with a
-    [rejected] attr), [prefilter] (when a filter index is set, with
-    [survivors]), [retrieve] (one [atom:a] child per distinct query atom,
-    each with its cache hit/miss delta), [eval] (algorithm, candidate
-    count, I/O deltas) and [verify] (checked/kept). Every phase span and
-    the enclosing root carry [lookups]/[hits]/[misses] deltas pulled from
-    {!Invfile.Inverted_file.lookup_stats}, so the tree reconciles with
-    {!Storage.Io_stats} totals. Without [trace], nothing is recorded and
-    no extra I/O happens.
+    The index algorithms (top-down and bottom-up) read each distinct
+    non-pattern query atom's list once, through the cached lookup path,
+    before evaluating; the candidate generators take every list from that
+    read. Under the containment and equality joins the read stops at the
+    first atom without postings and the query answers [[]] without
+    evaluating — such an atom can match no node. The read follows the
+    Bloom prefilter, which it does not affect. In [streamed] mode it
+    reads raw payloads instead ({!Invfile.Inverted_file.lookup_raw}),
+    which the streamed kernels consume without materializing them.
 
-    The [retrieve] phase pre-probes atoms through the cached lookup path
-    (attaching a transient cache when the handle has none) so the trace
-    shows which lists were fetched cold. In [streamed] mode it is skipped
-    entirely: streaming bypasses the decoded-list cache, so cache hits
-    are structurally 0 and pre-materializing lists would distort the
-    measured access pattern.
+    When [trace] is given, each evaluation phase records a span into it:
+    [minimize] (when applied), [prefilter] (when a filter index is set,
+    with [survivors]), [retrieve] (one [atom:a] child per atom read, each
+    with its cache hit/miss delta; [rejected] and [absent] attrs when an
+    atom had no postings), [eval] (algorithm, candidate count, I/O
+    deltas) and [verify] (checked/kept). In [streamed] mode the payload
+    reads happen inside [eval] and there is no [retrieve] span. Every
+    phase span and the enclosing root carry [lookups]/[hits]/[misses]
+    deltas pulled from {!Invfile.Inverted_file.lookup_stats}, so the tree
+    reconciles with {!Storage.Io_stats} totals. Tracing changes neither
+    the I/O nor the answer: a traced and an untraced run of one query
+    make the same lookups and store reads.
     @raise Invalid_argument if the query is an atom.
     @raise Semantics.Unsupported per {!Semantics.mode_of}. *)
 

@@ -18,6 +18,7 @@ type t = {
   mutable node_count : int;
   mutable all_nodes : Plist.t option;
   mutable all_nodes_idset : Plist.idset option;
+  mutable codec : Plist.codec option;
   mutable cache : Cache.t option;
   lookup_stats : Storage.Io_stats.t;
 }
@@ -63,37 +64,50 @@ let open_store ?(lenient = false) store =
     node_count;
     all_nodes = None;
     all_nodes_idset = None;
+    codec = None;
     cache = None;
     lookup_stats = Storage.Io_stats.create ();
   }
 
+let decode_postings a decode payload =
+  try decode payload
+  with Storage.Codec.Corrupt m ->
+    raise (Malformed (Printf.sprintf "postings of %S: %s" a m))
+
 let read_postings t a ~empty decode =
   match t.store.Storage.Kv.get (atom_key a) with
   | None -> empty
-  | Some payload -> (
-    try decode payload
-    with Storage.Codec.Corrupt m ->
-      raise (Malformed (Printf.sprintf "postings of %S: %s" a m)))
+  | Some payload -> decode_postings a decode payload
 
 let lookup_from_store t a = read_postings t a ~empty:Plist.empty Plist.of_bytes
 
-let lookup t a =
+(* A list read from the store is decoded, and offered to the cache, only
+   when forced, so a reader that gives up before using it pays for the
+   read alone. Dynamic cache policies admit new lists; Static ignores
+   the offer. *)
+let lookup_lazy t a =
   Storage.Io_stats.record_lookup t.lookup_stats;
-  match t.cache with
-  | None ->
+  let cached = match t.cache with None -> None | Some c -> Cache.find c a in
+  match cached with
+  | Some l ->
+    Storage.Io_stats.record_hit t.lookup_stats;
+    if Plist.is_empty l then None else Some (Lazy.from_val l)
+  | None -> (
     Storage.Io_stats.record_miss t.lookup_stats;
-    lookup_from_store t a
-  | Some c -> (
-    match Cache.find c a with
-    | Some l ->
-      Storage.Io_stats.record_hit t.lookup_stats;
-      l
+    let admit l = Option.iter (fun c -> Cache.insert c a l) t.cache in
+    match t.store.Storage.Kv.get (atom_key a) with
     | None ->
-      Storage.Io_stats.record_miss t.lookup_stats;
-      let l = lookup_from_store t a in
-      (* Dynamic policies admit new lists; Static ignores this. *)
-      Cache.insert c a l;
-      l)
+      admit Plist.empty;
+      None
+    | Some payload ->
+      Some
+        (lazy
+          (let l = decode_postings a Plist.of_bytes payload in
+           admit l;
+           l)))
+
+let lookup t a =
+  match lookup_lazy t a with None -> Plist.empty | Some l -> Lazy.force l
 
 (* The cache holds full lists, so a miss here admits nothing: an ids-only
    read has no postings to offer it. *)
@@ -153,8 +167,10 @@ let atoms_with_prefix t prefix =
 
 (* The collection's list codec: every payload is written with the same
    codec, so the node table (or, without one, any atom list) tells us
-   which. Fresh/empty stores read as Blocked, the current default. *)
-let list_codec t =
+   which. Fresh/empty stores read as Blocked, the current default. Sniffed
+   once per handle: the answer is one tag byte, but reading it fetches a
+   whole payload. *)
+let sniff_codec t =
   match t.store.Storage.Kv.get meta_nodes with
   | Some payload -> Plist.codec_of_bytes payload
   | None ->
@@ -167,6 +183,14 @@ let list_codec t =
            end)
      with Exit -> ());
     !codec
+
+let list_codec t =
+  match t.codec with
+  | Some c -> c
+  | None ->
+    let c = sniff_codec t in
+    t.codec <- Some c;
+    c
 
 let all_nodes t =
   match t.all_nodes with
@@ -312,6 +336,7 @@ let refresh t =
   t.node_count <- node_count;
   t.all_nodes <- None;
   t.all_nodes_idset <- None;
+  t.codec <- None;
   Dict.reset t.dict;
   match t.cache with None -> () | Some c -> Cache.clear c
 

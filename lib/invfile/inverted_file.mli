@@ -44,6 +44,15 @@ val lookup : t -> string -> Plist.t
 (** [lookup t a] is [S_IF(a)]; the empty list for unknown atoms. Consults
     the attached cache first; {!lookup_stats} records hits and misses. *)
 
+val lookup_lazy : t -> string -> Plist.t Lazy.t option
+(** [lookup t a] with the decode deferred: [None] when [a] has no
+    postings, else the list, decoded (and offered to a dynamic cache) on
+    first force. Counts a lookup, hit or miss, and reads the store on a
+    miss, exactly as {!lookup} does; forcing raises {!Malformed} where
+    {!lookup} would. A reader that may give up before using every list it
+    read — the engine stops at a query's first absent atom — pays no
+    decode for the lists it never forces. *)
+
 val lookup_nodes : t -> string -> int array
 (** [lookup_nodes t a = Plist.nodes (lookup t a)]: the node ids of
     [S_IF(a)], ascending, decoded without materializing postings on a
@@ -71,7 +80,8 @@ val list_codec : t -> Plist.codec
     (sniffed from the node table, or failing that any atom list; fresh
     stores report the build default, [Blocked]). Writers that create new
     lists — {!Merger}, {!Updater} — use this to keep a store's
-    representation homogeneous. *)
+    representation homogeneous. Sniffed once per handle and remembered
+    until {!refresh}. *)
 
 val all_nodes : t -> Plist.t
 (** The node table, lazily loaded then memoized. *)

@@ -18,16 +18,10 @@ let shift_list ~offset l = Array.map (shift_posting ~offset) l
 let append_postings dst ~default_codec atom shifted =
   let store = IF.store dst in
   let key = IF.atom_key atom in
-  let codec = ref default_codec in
-  let current =
-    match store.Storage.Kv.get key with
-    | None -> Plist.empty
-    | Some payload ->
-      codec := Plist.codec_of_bytes payload;
-      Plist.of_bytes payload
-  in
   store.Storage.Kv.put key
-    (Plist.to_bytes ~codec:!codec (Array.append current shifted));
+    (match store.Storage.Kv.get key with
+    | None -> Plist.to_bytes ~codec:default_codec shifted
+    | Some payload -> Plist.append_encoded payload shifted);
   IF.internal_invalidate_atom dst atom
 
 let append ~dst ~src =
@@ -49,12 +43,9 @@ let append ~dst ~src =
        src_store.Storage.Kv.get IF.meta_nodes )
    with
   | Some dpayload, Some spayload ->
-    let codec = Plist.codec_of_bytes dpayload in
-    let merged =
-      Array.append (Plist.of_bytes dpayload)
-        (shift_list ~offset (Plist.of_bytes spayload))
-    in
-    dst_store.Storage.Kv.put IF.meta_nodes (Plist.to_bytes ~codec merged);
+    dst_store.Storage.Kv.put IF.meta_nodes
+      (Plist.append_encoded dpayload
+         (shift_list ~offset (Plist.of_bytes spayload)));
     IF.internal_reset_node_table dst
   | None, None -> ()
   | Some _, None | None, Some _ ->

@@ -421,6 +421,11 @@ let of_bytes s =
   | Bitpacked -> of_bitpacked (String.sub s 1 (String.length s - 1))
   | Blocked -> Plist_blocks.decode (Plist_blocks.directory s ~pos:1)
 
+let append_encoded s l =
+  match codec_of_bytes s with
+  | Blocked -> Plist_blocks.append s ~pos:1 l
+  | (Varint | Bitpacked) as codec -> to_bytes ~codec (Array.append (of_bytes s) l)
+
 let nodes_of_bytes s =
   match codec_of_bytes s with
   | Blocked -> Plist_blocks.nodes (Plist_blocks.directory s ~pos:1)

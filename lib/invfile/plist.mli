@@ -151,6 +151,14 @@ val of_bytes : string -> t
 
 val codec_of_bytes : string -> codec
 
+val append_encoded : string -> t -> string
+(** [append_encoded s l] is [to_bytes ~codec (Array.append (of_bytes s) l)]
+    in [s]'s own codec, for postings [l] that follow the list. A ['C']
+    payload is extended block-wise ({!Plist_blocks.append}): its full
+    blocks are copied, not decoded. ['V'] and ['B'] payloads are decoded
+    and re-encoded in full. @raise Storage.Codec.Corrupt on malformed
+    input. *)
+
 val nodes_of_bytes : string -> int array
 (** [nodes_of_bytes s = nodes (of_bytes s)], raising on exactly the same
     payloads, but a ['C'] payload is walked without materializing its

@@ -31,17 +31,28 @@ let update_list inv atom f =
     if !existed then 0 else 1
   end
 
+(* Appends postings that follow [atom]'s list (block-wise for the 'C'
+   codec, see Plist.append_encoded); returns 1 when the list is new. *)
+let append_list inv atom postings =
+  let store = IF.store inv in
+  let key = IF.atom_key atom in
+  IF.internal_invalidate_atom inv atom;
+  match store.Storage.Kv.get key with
+  | Some payload ->
+    store.Storage.Kv.put key (Plist.append_encoded payload postings);
+    0
+  | None ->
+    store.Storage.Kv.put key (Plist.to_bytes ~codec:(IF.list_codec inv) postings);
+    1
+
+(* [f] maps the stored node-table payload to its replacement. *)
 let update_node_table inv f =
   let store = IF.store inv in
   match store.Storage.Kv.get IF.meta_nodes with
   | None -> () (* node table was not built for this collection *)
   | Some payload ->
-    let codec = Plist.codec_of_bytes payload in
-    store.Storage.Kv.put IF.meta_nodes
-      (Plist.to_bytes ~codec (f (Plist.of_bytes payload)));
+    store.Storage.Kv.put IF.meta_nodes (f payload);
     IF.internal_reset_node_table inv
-
-let append_posting l p = Array.append l [| p |]
 
 let meta_keys = [ IF.meta_nodes; IF.meta_roots; IF.meta_counts ]
 
@@ -86,25 +97,36 @@ let add_value ?(journal = true) inv value =
     @ meta_keys @ dict_keys inv atoms
   in
   in_txn ~journal inv keys @@ fun () ->
-  (* New ids exceed all existing ids, so postings append in sorted order. *)
-  let added_atoms = ref 0 in
+  (* New ids exceed all existing ids, so postings append in sorted order:
+     one append per touched list, each posting once per distinct atom. *)
   let new_postings = ref [] in
+  let per_atom = Hashtbl.create 16 in
   Nested.Tree.iter
     (fun n ->
       let p = Posting.of_tree_node n in
       new_postings := p :: !new_postings;
       Array.iter
         (fun leaf ->
-          added_atoms := !added_atoms + update_list inv leaf (fun l -> append_posting l p))
+          match Hashtbl.find_opt per_atom leaf with
+          | Some (q :: _) when q == p -> ()
+          | prev -> Hashtbl.replace per_atom leaf (p :: Option.value ~default:[] prev))
         n.Nested.Tree.leaves)
     tree;
-  update_node_table inv (fun l ->
-      Array.append l (Array.of_list (List.rev !new_postings)));
+  let added_atoms =
+    List.fold_left
+      (fun acc atom ->
+        match Hashtbl.find_opt per_atom atom with
+        | Some rev -> acc + append_list inv atom (Array.of_list (List.rev rev))
+        | None -> acc)
+      0 atoms
+  in
+  update_node_table inv (fun payload ->
+      Plist.append_encoded payload (Array.of_list (List.rev !new_postings)));
   IF.internal_put_record inv record_id value;
   (* metadata + in-handle state *)
   let roots = Array.append (IF.roots inv) [| tree.Nested.Tree.root |] in
   IF.internal_set_counts inv ~roots
-    ~atom_count:(IF.atom_count inv + !added_atoms)
+    ~atom_count:(IF.atom_count inv + added_atoms)
     ~node_count:(first_id + Nested.Tree.node_count tree);
   IF.internal_write_meta inv;
   record_id
@@ -140,7 +162,10 @@ let delete_record ?(journal = true) inv record_id =
             !removed_atoms
             - update_list inv atom (fun l -> Plist.filter (fun p -> not (in_range p)) l))
         atoms;
-      update_node_table inv (fun l -> Plist.filter (fun p -> not (in_range p)) l);
+      update_node_table inv (fun payload ->
+          Plist.to_bytes
+            ~codec:(Plist.codec_of_bytes payload)
+            (Plist.filter (fun p -> not (in_range p)) (Plist.of_bytes payload)));
       let store = IF.store inv in
       store.Storage.Kv.put (IF.record_key record_id) IF.deleted_marker;
       IF.internal_set_counts inv ~roots:(IF.roots inv)

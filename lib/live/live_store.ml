@@ -333,27 +333,20 @@ let query_batch ?(config = E.default) t values =
   check_engine_config config;
   locked t (fun () ->
       ensure_open t;
-      let per_seg =
+      let part inv translate_fn =
+        Array.of_list
+          (List.map
+             (fun (r : E.result) -> translate_fn r.E.records)
+             (E.query_batch ~config inv values))
+      in
+      let parts =
         List.map
           (fun seg ->
-            ( seg,
-              List.map
-                (fun (r : E.result) -> r.E.records)
-                (E.query_batch ~config seg.Segment.inv values) ))
+            part seg.Segment.inv (fun l -> translate seg l t.tombstones))
           t.segments
+        @ [ part t.mem (translate_mem t) ]
       in
-      let mem_rs =
-        List.map
-          (fun (r : E.result) -> r.E.records)
-          (E.query_batch ~config t.mem values)
-      in
-      List.mapi
-        (fun i _ ->
-          List.concat_map
-            (fun (seg, rs) -> translate seg (List.nth rs i) t.tombstones)
-            per_seg
-          @ translate_mem t (List.nth mem_rs i))
-        values)
+      List.mapi (fun i _ -> List.concat_map (fun rs -> rs.(i)) parts) values)
 
 (* One evaluation per part: each part runs under its own trace, the
    profile is derived from that same trace ([E.profile_of_trace]), and

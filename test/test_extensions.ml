@@ -695,16 +695,102 @@ let prop_wildcard_generalizes_exact =
       let wild = (E.query ~config:(wc E.default) inv q_wild).E.records in
       List.for_all (fun i -> List.mem i wild) exact)
 
-let prop_preflight_preserves_results =
-  Testutil.qcheck_case ~count:150 ~name:"preflight preserves results"
-    (QCheck.pair (Testutil.arbitrary_collection ()) Testutil.arbitrary_value)
-    (fun (values, q) ->
+(* Presence rejection: under the containment and equality joins, a query
+   atom without postings answers [] before evaluation. The answer must be
+   the naive scan's (which reads no lists) with the absent atom at the
+   query root or at any nested node, for every embedding, both scopes,
+   both index algorithms and the streamed read — and the trace must show
+   the rejection. The query without the absent atom must match the scan
+   too, so rejection never fires where it should not. *)
+let absent_atom = "zz_absent"
+
+(* [v] with [absent_atom] added to its [k]-th set node, pre-order, [k]
+   taken modulo the node count. *)
+let add_atom_at k v =
+  let count = ref 0 in
+  let rec nodes v =
+    if Nested.Value.is_set v then begin
+      incr count;
+      List.iter nodes (Nested.Value.subsets v)
+    end
+  in
+  nodes v;
+  let target = k mod !count and i = ref (-1) in
+  let rec go v =
+    if Nested.Value.is_atom v then v
+    else begin
+      incr i;
+      let here = !i = target in
+      let elems = List.map go (Nested.Value.elements v) in
+      Nested.Value.set (if here then Nested.Value.atom absent_atom :: elems else elems)
+    end
+  in
+  go v
+
+(* The records, and the atom the trace reports as absent, if any. *)
+let rejected_in_trace config inv q =
+  let trace = Obs.Trace.create "query" in
+  let r = E.query ~config ~trace inv q in
+  let root = Obs.Trace.finish trace in
+  ( r.E.records,
+    List.find_map
+      (fun (s : Obs.Trace.span) -> List.assoc_opt "absent" s.Obs.Trace.attrs)
+      root.Obs.Trace.children )
+
+let prop_presence_rejection_matches_naive =
+  Testutil.qcheck_case ~count:150 ~name:"rejection = naive scan"
+    (QCheck.triple (Testutil.arbitrary_collection ()) Testutil.arbitrary_value
+       QCheck.small_nat)
+    (fun (values, q, k) ->
       QCheck.assume (Nested.Value.is_set q);
       let values = List.filter Nested.Value.is_set values in
       QCheck.assume (values <> []);
       let inv = Containment.Collection.of_values values in
-      (E.query inv q).E.records
-      = (E.query ~config:{ E.default with E.preflight = true } inv q).E.records)
+      let stored = List.concat_map Nested.Value.atom_universe values in
+      let q_absent = add_atom_at k q in
+      let semantics =
+        List.map (fun e -> (S.Containment, e)) [ S.Hom; S.Iso; S.Homeo; S.Homeo_full ]
+        @ List.map (fun e -> (S.Equality, e)) [ S.Hom; S.Iso ]
+      in
+      List.for_all
+        (fun ((join, embedding), scope, algorithm, streamed) ->
+          let config =
+            { E.default with E.join; embedding; scope; algorithm; streamed;
+              verify = join = S.Equality }
+          in
+          let naive v =
+            (E.query ~config:{ config with E.algorithm = E.Naive_scan } inv v).E.records
+          in
+          let records, absent = rejected_in_trace config inv q_absent in
+          (* the read stops at the query's first atom without postings:
+             the added one, or one the query already named *)
+          let rejected =
+            match absent with Some a -> not (List.mem a stored) | None -> false
+          in
+          let ok =
+            rejected && records = [] && naive q_absent = []
+            && (E.query ~config inv q).E.records = naive q
+          in
+          if not ok then
+            QCheck.Test.fail_reportf "%a/%a %s %s%s: rejected=%b, %d records"
+              S.pp_join join S.pp_embedding embedding
+              (match scope with E.Roots -> "roots" | E.Anywhere -> "anywhere")
+              (match algorithm with E.Bottom_up -> "bottom-up" | _ -> "top-down")
+              (if streamed then " streamed" else "")
+              rejected (List.length records);
+          ok)
+        (List.concat_map
+           (fun sem ->
+             List.concat_map
+               (fun scope ->
+                 List.concat_map
+                   (fun algorithm ->
+                     List.map
+                       (fun streamed -> (sem, scope, algorithm, streamed))
+                       [ false; true ])
+                   [ E.Bottom_up; E.Top_down ])
+               [ E.Roots; E.Anywhere ])
+           semantics))
 
 (* --- engine APIs --- *)
 
@@ -829,7 +915,7 @@ let () =
           prop_wildcard_algorithms_agree;
           prop_wildcard_generalizes_exact;
         ] );
-      ( "preflight", [ prop_preflight_preserves_results ] );
+      ( "presence", [ prop_presence_rejection_matches_naive ] );
       ( "low-memory modes",
         [
           prop_streamed_equals_materialized;

@@ -254,8 +254,59 @@ let test_query_batch () =
   let got = L.query_batch store probes in
   List.iteri
     (fun i q ->
-      check_ids (V.to_string q) (oracle_query store q) (List.nth got i))
+      check_ids (V.to_string q) (oracle_query store q) (List.nth got i);
+      check_ids (V.to_string q ^ " = query") (L.query store q) (List.nth got i))
     probes
+
+(* Tracing changes no I/O on a live store either. Every sealed segment's
+   store is wrapped to count gets of postings keys (segments carry no
+   cache, so each is one list lookup) and all gets with their bytes; the
+   memtable lives in memory, outside the wrapper. A first, unmeasured
+   run loads what the segment handles keep for good (node tables). *)
+let test_traced_io_equals_untraced () =
+  with_temp_dir @@ fun dir ->
+  let atom_gets = ref 0 and gets = ref 0 and bytes = ref 0 in
+  let wrap _ (kv : Storage.Kv.t) =
+    {
+      kv with
+      Storage.Kv.get =
+        (fun k ->
+          let r = kv.Storage.Kv.get k in
+          incr gets;
+          if String.length k > 0 && k.[0] = 'a' then incr atom_gets;
+          Option.iter (fun s -> bytes := !bytes + String.length s) r;
+          r);
+    }
+  in
+  let store = L.create ~config:{ manual with L.wrap } dir in
+  Fun.protect ~finally:(fun () -> L.close store) @@ fun () ->
+  List.iteri
+    (fun i value ->
+      ignore (L.insert store value);
+      if i = 2 then ignore (L.flush store))
+    licences;
+  ignore (L.flush store);
+  ignore (L.insert store (v "{Berlin, DE, {car}}"));
+  let counts f =
+    let a = !atom_gets and g = !gets and b = !bytes in
+    f ();
+    [ !atom_gets - a; !gets - g; !bytes - b ]
+  in
+  List.iter
+    (fun (cname, config) ->
+      List.iter
+        (fun q ->
+          ignore (L.query ~config store q);
+          let plain = counts (fun () -> ignore (L.query ~config store q)) in
+          let traced =
+            counts (fun () ->
+                ignore (L.query ~config ~trace:(Obs.Trace.create "query") store q))
+          in
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s %s: list gets/gets/bytes" cname (V.to_string q))
+            plain traced)
+        (v "{Berlin, nowhere}" :: probes))
+    configs
 
 let test_rejections () =
   with_temp_dir @@ fun dir ->
@@ -607,6 +658,8 @@ let () =
           Alcotest.test_case "join matches the rebuild oracle" `Quick
             test_join_matches_naive;
           Alcotest.test_case "query_batch" `Quick test_query_batch;
+          Alcotest.test_case "traced I/O = untraced I/O" `Quick
+            test_traced_io_equals_untraced;
           Alcotest.test_case "rejections" `Quick test_rejections;
           Alcotest.test_case "verify/repair on a healthy store" `Quick
             test_verify_healthy;
